@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -211,6 +212,8 @@ func DailyUpdates(l *Lab) DailyUpdatesResult {
 	prevSet := contentPairSet(l.Content(0, EvalShare))
 	idx := 0
 	totalChanged := 0
+	// Only the delta outlives a day: it copies the triplets it keeps.
+	var triplets []searchlog.Triplet
 	for day := 1; day <= 30; day++ {
 		cutoff := time.Duration(day) * 24 * time.Hour
 		for idx < len(month1) && month1[idx].At < cutoff {
@@ -218,7 +221,8 @@ func DailyUpdates(l *Lab) DailyUpdatesResult {
 			totalVolume++
 			idx++
 		}
-		tbl := tableFromCounts(counts, totalVolume)
+		tbl := tableFromCounts(counts, totalVolume, triplets)
+		triplets = tbl.Triplets
 		n, err := cachegen.SelectByShare(tbl, EvalShare)
 		if err != nil {
 			panic(err)
@@ -289,21 +293,17 @@ func diffContent(content cachegen.Content, prevSet, newSet map[searchlog.PairID]
 	return d
 }
 
-// tableFromCounts builds a sorted triplet table from a running count map.
-func tableFromCounts(counts map[searchlog.PairID]int64, total int64) searchlog.TripletTable {
-	tbl := searchlog.TripletTable{TotalVolume: total}
-	tbl.Triplets = make([]searchlog.Triplet, 0, len(counts))
+// tableFromCounts builds the sorted triplet table of a running count
+// map in buf's backing array, so a caller rebuilding the table every
+// day reuses one slice: the table, and content generated from it, are
+// valid until the next call with the same buf.
+func tableFromCounts(counts map[searchlog.PairID]int64, total int64, buf []searchlog.Triplet) searchlog.TripletTable {
+	buf = buf[:0]
 	for p, v := range counts {
-		tbl.Triplets = append(tbl.Triplets, searchlog.Triplet{Pair: p, Volume: v})
+		buf = append(buf, searchlog.Triplet{Pair: p, Volume: v})
 	}
-	sort.Slice(tbl.Triplets, func(i, j int) bool {
-		a, b := tbl.Triplets[i], tbl.Triplets[j]
-		if a.Volume != b.Volume {
-			return a.Volume > b.Volume
-		}
-		return a.Pair < b.Pair
-	})
-	return tbl
+	slices.SortFunc(buf, searchlog.CompareTriplets)
+	return searchlog.TripletTable{Triplets: buf, TotalVolume: total}
 }
 
 // Table renders the comparison.

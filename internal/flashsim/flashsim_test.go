@@ -132,6 +132,21 @@ func TestFileStoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSilentReplacementOwnership: ReplaceSilently keeps the caller's
+// slice itself rather than a copy, and charges the device nothing.
+func TestSilentReplacementOwnership(t *testing.T) {
+	fs := NewFileStore(NewDevice(Params{}))
+	data := []byte("adopt")
+	fs.ReplaceSilently("a", data)
+	data[0] = 'X'
+	if got, _ := fs.PeekRef("a"); string(got) != "Xdopt" {
+		t.Errorf("ReplaceSilently copied the caller's slice: %q", got)
+	}
+	if st := fs.Device().Stats(); st != (Stats{}) {
+		t.Errorf("silent replacement charged the device: %+v", st)
+	}
+}
+
 func TestFileStoreReadAt(t *testing.T) {
 	fs := NewFileStore(NewDevice(Params{}))
 	fs.Write("f", []byte("0123456789"))

@@ -200,38 +200,33 @@ func Build(dev *device.Device, eng *engine.Engine, content cachegen.Content, opt
 }
 
 // Preload installs community content into the cache. Records are
-// bulk-loaded one database file at a time, merged with any records
-// already present.
+// bulk-loaded one database file at a time, in ascending file order,
+// merged with any records already present; a result shared by several
+// pairs is stored once.
 func (c *Cache) Preload(content cachegen.Content) error {
 	u := c.eng.Universe()
-	perFile := make(map[int]map[uint64][]byte)
+	perFile := make([][]resultdb.Record, c.db.Files())
+	seen := make(map[uint64]struct{}, len(content.Triplets))
 	for _, tr := range content.Triplets {
 		q := u.QueryText(u.QueryOf(tr.Pair))
-		res := u.Result(u.ResultOf(tr.Pair))
+		rid := u.ResultOf(tr.Pair)
 		qh := hash64.Sum(q)
-		rh := hash64.Sum(res.URL)
+		rh := hash64.Sum(u.ResultURL(rid))
 		c.table.Put(qh, hashtable.SearchRef{ResultHash: rh, Score: content.Scores[tr.Pair]})
 		// Completions rank by community popularity: the pair's volume.
 		c.indexQuery(qh, q, float64(tr.Volume))
+		if _, dup := seen[rh]; dup {
+			continue
+		}
+		seen[rh] = struct{}{}
 		f := c.db.FileOf(rh)
-		if perFile[f] == nil {
-			perFile[f] = make(map[uint64][]byte)
-		}
-		if _, dup := perFile[f][rh]; !dup {
-			perFile[f][rh] = res.Record()
-		}
+		perFile[f] = append(perFile[f], resultdb.Record{Hash: rh, Data: u.Result(rid).Record()})
 	}
 	for f, recs := range perFile {
-		existing, err := c.db.RecordsOf(f)
-		if err != nil {
-			return fmt.Errorf("pocketsearch: preload: %w", err)
+		if len(recs) == 0 {
+			continue
 		}
-		for rh, rec := range existing {
-			if _, ok := recs[rh]; !ok {
-				recs[rh] = rec
-			}
-		}
-		if _, err := c.db.ReplaceFile(f, recs); err != nil {
+		if _, err := c.db.MergeFile(f, recs); err != nil {
 			return fmt.Errorf("pocketsearch: preload: %w", err)
 		}
 	}

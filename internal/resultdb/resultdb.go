@@ -16,8 +16,10 @@ package resultdb
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -58,17 +60,18 @@ type DB struct {
 	// serve path) parse and allocate nothing. It is a map keyed by file
 	// index, populated lazily, because a typical per-user database
 	// touches only a handful of its files — an eager per-file array
-	// costs ~2 KB per user at the default 32 files. Entries are
-	// invalidated by storeFile — the single funnel every database write
-	// goes through — and the modeled latency is computed from the
-	// recorded header length, so a cached retrieval charges exactly
-	// what an uncached one would.
+	// costs ~2 KB per user at the default 32 files. Every database
+	// write goes through install, which replaces the entry — with the
+	// header a rewrite just built, or empty after a Put — and the
+	// modeled latency is computed from the recorded header length, so
+	// a cached retrieval charges exactly what an uncached one would.
 	cache map[int]*fileCache
 }
 
 // fileCache is one file's parsed state. body aliases the store's
-// backing slice, which is safe because storeFile replaces the whole
-// slice (never writes in place) and invalidates this entry first.
+// backing slice, which is safe because install hands the store a
+// whole new slice (never writes in place) and replaces this entry in
+// the same step.
 type fileCache struct {
 	valid  bool
 	exists bool
@@ -157,18 +160,33 @@ func (h *header) find(hash uint64) (headerEntry, bool) {
 	return headerEntry{}, false
 }
 
-// serialize renders the header line: "hash,off,len;...\n" in hex.
-func (h *header) serialize() []byte {
-	var b bytes.Buffer
-	for i, e := range h.entries {
+// appendHeader appends the header line of entries to dst:
+// "hash,off,len;...\n" in lower-case hex without a prefix.
+func appendHeader(dst []byte, entries []headerEntry) []byte {
+	for i, e := range entries {
 		if i > 0 {
-			b.WriteByte(';')
+			dst = append(dst, ';')
 		}
-		fmt.Fprintf(&b, "%x,%x,%x", e.hash, e.off, e.length)
+		dst = strconv.AppendUint(dst, e.hash, 16)
+		dst = append(dst, ',')
+		dst = strconv.AppendUint(dst, uint64(e.off), 16)
+		dst = append(dst, ',')
+		dst = strconv.AppendUint(dst, uint64(e.length), 16)
 	}
-	b.WriteByte('\n')
-	return b.Bytes()
+	return append(dst, '\n')
 }
+
+// headerLen is len(appendHeader(nil, entries)), computed without
+// rendering so a file can be built in one exactly sized buffer.
+func headerLen(entries []headerEntry) int {
+	n := max(len(entries), 1) // the ';' separators and the '\n'
+	for _, e := range entries {
+		n += hexLen(e.hash) + hexLen(uint64(e.off)) + hexLen(uint64(e.length)) + 2
+	}
+	return n
+}
+
+func hexLen(x uint64) int { return max((bits.Len64(x)+3)/4, 1) }
 
 func parseHeader(line []byte) (*header, error) {
 	h := &header{}
@@ -255,34 +273,33 @@ func (db *DB) Put(resultHash uint64, record []byte) (time.Duration, error) {
 	if _, exists := h.find(resultHash); exists {
 		return lat, nil
 	}
-	// Build the new header and body in fresh slices: h and body may
-	// alias the file cache and the store's backing array.
-	h2 := header{entries: make([]headerEntry, 0, len(h.entries)+1)}
-	h2.entries = append(append(h2.entries, h.entries...),
+	// Build the new file in fresh slices: h and body alias the file
+	// cache and the store's backing array.
+	entries := make([]headerEntry, 0, len(h.entries)+1)
+	entries = append(append(entries, h.entries...),
 		headerEntry{hash: resultHash, off: len(body), length: len(record)})
-	newBody := make([]byte, 0, len(body)+len(record))
-	newBody = append(append(newBody, body...), record...)
+	content := appendHeader(make([]byte, 0, headerLen(entries)+len(body)+len(record)), entries)
+	hdrLen := len(content)
+	content = append(append(content, body...), record...)
 	// The header line changes size, so it is rewritten in place
 	// (charged as a flash rewrite); the record itself is an append.
-	hdr := h2.serialize()
-	lat += db.store.Device().RewriteCost(len(hdr)) + db.store.Device().WriteCost(len(record))
-	db.storeFile(i, hdr, newBody)
+	lat += db.store.Device().RewriteCost(hdrLen) + db.store.Device().WriteCost(len(record))
+	// Keep no parse of the new header: a personal cache appends to
+	// files it may never read again, and a fleet holding every such
+	// header costs ~250 B per user (DESIGN.md, "Result-database write
+	// path"). The next read of the file parses it.
+	db.install(i, content, fileCache{})
 	return lat, nil
 }
 
-// storeFile writes the serialized file content without charging
-// additional device cost (costs are charged explicitly by callers).
-// It is the single funnel every database write goes through (Put,
-// ReplaceFile, and Delete via ReplaceFile), so invalidating the file
-// cache here keeps cached views consistent.
-func (db *DB) storeFile(i int, hdr, body []byte) {
-	if fc, ok := db.cache[i]; ok {
-		*fc = fileCache{}
-	}
-	content := make([]byte, 0, len(hdr)+len(body))
-	content = append(content, hdr...)
-	content = append(content, body...)
+// install makes content file i's contents without charging device cost
+// (callers charge their modeled costs explicitly) and replaces the
+// file's cache entry with fc in the same step. The store takes
+// ownership of content. It is the single funnel every database write
+// goes through.
+func (db *DB) install(i int, content []byte, fc fileCache) {
 	db.store.ReplaceSilently(db.fileName(i), content)
+	*db.cacheEntry(i) = fc
 }
 
 // Get retrieves the record stored under the result hash, with the
@@ -356,7 +373,7 @@ func (db *DB) Hashes() []uint64 {
 			out = append(out, e.hash)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -371,33 +388,126 @@ func (db *DB) Len() int {
 	return n
 }
 
+// Record is one database record: the result hash it is stored under
+// and its bytes.
+type Record struct {
+	Hash uint64
+	Data []byte
+}
+
 // ReplaceFile atomically replaces one database file's full record set
 // — the patch-application primitive of the Section 5.4 update cycle.
 // It returns the modeled flash latency of rewriting the file.
 func (db *DB) ReplaceFile(i int, records map[uint64][]byte) (time.Duration, error) {
+	recs := make([]Record, 0, len(records))
+	for hash, rec := range records {
+		recs = append(recs, Record{Hash: hash, Data: rec})
+	}
+	if err := db.sortRecords(i, recs); err != nil {
+		return 0, err
+	}
+	return db.rewrite(i, nil, nil, recs)
+}
+
+// MergeFile rewrites file i as the union of its stored records and
+// recs, in ascending hash order, with a record in recs replacing a
+// stored one of the same hash — the bulk-load primitive of a cache
+// preload. recs is sorted in place. Every record must belong in file i
+// and appear once. It returns the modeled flash latency: one open plus
+// a rewrite of the whole file, as ReplaceFile charges.
+func (db *DB) MergeFile(i int, recs []Record) (time.Duration, error) {
+	if err := db.sortRecords(i, recs); err != nil {
+		return 0, err
+	}
+	h, body, ok, err := db.peekFile(i)
+	if err != nil {
+		return 0, err
+	}
+	var stored []headerEntry
+	if ok {
+		stored = h.entries
+	}
+	return db.rewrite(i, stored, body, recs)
+}
+
+// sortRecords sorts recs by hash and checks that they all belong in
+// file i, once each.
+func (db *DB) sortRecords(i int, recs []Record) error {
 	if i < 0 || i >= db.cfg.Files {
-		return 0, fmt.Errorf("resultdb: file index %d out of range [0, %d)", i, db.cfg.Files)
+		return fmt.Errorf("resultdb: file index %d out of range [0, %d)", i, db.cfg.Files)
 	}
-	h := &header{}
-	var body []byte
-	hashes := make([]uint64, 0, len(records))
-	for hash := range records {
-		if db.FileOf(hash) != i {
-			return 0, fmt.Errorf("resultdb: record %x does not belong in file %d", hash, i)
+	slices.SortFunc(recs, func(a, b Record) int { return cmp.Compare(a.Hash, b.Hash) })
+	for k, r := range recs {
+		if db.FileOf(r.Hash) != i {
+			return fmt.Errorf("resultdb: record %x does not belong in file %d", r.Hash, i)
 		}
-		hashes = append(hashes, hash)
+		if k > 0 && recs[k-1].Hash == r.Hash {
+			return fmt.Errorf("resultdb: record %x given twice for file %d", r.Hash, i)
+		}
 	}
-	sort.Slice(hashes, func(a, b int) bool { return hashes[a] < hashes[b] })
-	for _, hash := range hashes {
-		rec := records[hash]
-		h.entries = append(h.entries, headerEntry{hash: hash, off: len(body), length: len(rec)})
-		body = append(body, rec...)
+	return nil
+}
+
+// rewrite is the sorted merge behind every whole-file write: it
+// installs file i as the hash-ordered union of base (entries locating
+// records in body, in any order, hashes unique) and recs (sorted by
+// hash, unique), recs winning on an equal hash. Each record is copied
+// once, into the buffer the store takes over. The charge is one open plus
+// a rewrite of the whole file.
+func (db *DB) rewrite(i int, base []headerEntry, body []byte, recs []Record) (time.Duration, error) {
+	for _, e := range base {
+		if e.off < 0 || e.off+e.length > len(body) {
+			return 0, fmt.Errorf("resultdb: corrupt entry %x in file %d", e.hash, i)
+		}
 	}
-	hdr := h.serialize()
-	lat := db.store.Device().OpenCost() + db.store.Device().RewriteCost(len(hdr)+len(body))
-	db.storeFile(i, hdr, body)
+	// Put appends out of hash order; the cached entries must not be
+	// reordered in place, so sort a copy.
+	if !slices.IsSortedFunc(base, compareEntries) {
+		base = slices.Clone(base)
+		slices.SortFunc(base, compareEntries)
+	}
+	entries := make([]headerEntry, 0, len(base)+len(recs))
+	bodyLen := 0
+	mergeRecords(base, body, recs, func(hash uint64, rec []byte) {
+		entries = append(entries, headerEntry{hash: hash, off: bodyLen, length: len(rec)})
+		bodyLen += len(rec)
+	})
+	content := appendHeader(make([]byte, 0, headerLen(entries)+bodyLen), entries)
+	hdrLen := len(content)
+	mergeRecords(base, body, recs, func(_ uint64, rec []byte) {
+		content = append(content, rec...)
+	})
+	lat := db.store.Device().OpenCost() + db.store.Device().RewriteCost(len(content))
+	// Cache the header just built, so the next read parses nothing.
+	db.install(i, content, fileCache{
+		valid:  true,
+		exists: true,
+		hdr:    header{entries: entries},
+		body:   content[hdrLen:],
+		hdrLen: hdrLen,
+	})
 	return lat, nil
 }
+
+// mergeRecords calls fn for each record of the hash-ordered union of
+// the sorted base entries (locating records in body) and the sorted
+// recs, taking the recs record on an equal hash.
+func mergeRecords(base []headerEntry, body []byte, recs []Record, fn func(hash uint64, rec []byte)) {
+	j := 0
+	for _, r := range recs {
+		for ; j < len(base) && base[j].hash <= r.Hash; j++ {
+			if e := base[j]; e.hash < r.Hash {
+				fn(e.hash, body[e.off:e.off+e.length])
+			}
+		}
+		fn(r.Hash, r.Data)
+	}
+	for _, e := range base[j:] {
+		fn(e.hash, body[e.off:e.off+e.length])
+	}
+}
+
+func compareEntries(a, b headerEntry) int { return cmp.Compare(a.hash, b.hash) }
 
 // Delete removes the record stored under resultHash, rewriting its
 // database file without it. It reports whether the record existed and
@@ -406,15 +516,16 @@ func (db *DB) ReplaceFile(i int, records map[uint64][]byte) (time.Duration, erro
 // storage budget.
 func (db *DB) Delete(resultHash uint64) (time.Duration, bool, error) {
 	f := db.FileOf(resultHash)
-	recs, err := db.RecordsOf(f)
-	if err != nil {
+	h, body, ok, err := db.peekFile(f)
+	if err != nil || !ok {
 		return 0, false, err
 	}
-	if _, ok := recs[resultHash]; !ok {
+	k := slices.IndexFunc(h.entries, func(e headerEntry) bool { return e.hash == resultHash })
+	if k < 0 {
 		return 0, false, nil
 	}
-	delete(recs, resultHash)
-	lat, err := db.ReplaceFile(f, recs)
+	base := slices.Delete(slices.Clone(h.entries), k, k+1)
+	lat, err := db.rewrite(f, base, body, nil)
 	if err != nil {
 		return 0, false, err
 	}

@@ -209,6 +209,18 @@ func TestReplaceFileValidation(t *testing.T) {
 	if _, err := db.ReplaceFile(0, map[uint64][]byte{1: []byte("x")}); err == nil {
 		t.Error("record belonging to another file should fail")
 	}
+	if _, err := db.MergeFile(-1, nil); err == nil {
+		t.Error("MergeFile: out-of-range file index should fail")
+	}
+	if _, err := db.MergeFile(0, []Record{{Hash: 1, Data: []byte("x")}}); err == nil {
+		t.Error("MergeFile: record belonging to another file should fail")
+	}
+	if _, err := db.MergeFile(0, []Record{{Hash: 4, Data: []byte("a")}, {Hash: 4, Data: []byte("b")}}); err == nil {
+		t.Error("MergeFile: a hash given twice should fail")
+	}
+	if st := db.store.Device().Stats(); st != (flashsim.Stats{}) {
+		t.Errorf("refused writes charged the device: %+v", st)
+	}
 }
 
 func TestRecordsOfEmptyFile(t *testing.T) {
@@ -247,7 +259,11 @@ func TestHeaderSerializationRoundTrip(t *testing.T) {
 			h.entries = append(h.entries, headerEntry{hash: hashes[i], off: off, length: int(sizes[i])})
 			off += int(sizes[i])
 		}
-		parsed, err := parseHeader(h.serialize())
+		line := appendHeader(nil, h.entries)
+		if len(line) != headerLen(h.entries) {
+			return false
+		}
+		parsed, err := parseHeader(line)
 		if err != nil {
 			return false
 		}
@@ -292,6 +308,29 @@ func BenchmarkGet(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := db.Get(uint64(i%2500) * 2654435761); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkResultDBReplaceFile rewrites one file of a 32-file database
+// holding an evaluation-cache-sized population (8000 records of 300
+// bytes) per operation, cycling through the files.
+func BenchmarkResultDBReplaceFile(b *testing.B) {
+	db := newDB(b, 32)
+	perFile := make([]map[uint64][]byte, db.Files())
+	for i := range perFile {
+		perFile[i] = map[uint64][]byte{}
+	}
+	for i := 0; i < 8000; i++ {
+		h := uint64(i) * 2654435761
+		perFile[db.FileOf(h)][h] = bytes.Repeat([]byte{byte('a' + i%26)}, 300)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f := i % len(perFile)
+		if _, err := db.ReplaceFile(f, perFile[f]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,9 @@
 package searchlog
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Triplet is one row of the paper's Table 3: a (query, search result)
 // pair and the number of log entries in which that result was clicked
@@ -28,14 +31,18 @@ func ExtractTriplets(entries []Entry) TripletTable {
 		t.Triplets = append(t.Triplets, Triplet{Pair: p, Volume: v})
 		t.TotalVolume += v
 	}
-	sort.Slice(t.Triplets, func(i, j int) bool {
-		a, b := t.Triplets[i], t.Triplets[j]
-		if a.Volume != b.Volume {
-			return a.Volume > b.Volume
-		}
-		return a.Pair < b.Pair
-	})
+	slices.SortFunc(t.Triplets, CompareTriplets)
 	return t
+}
+
+// CompareTriplets orders triplets as a TripletTable holds them:
+// descending volume, then ascending PairID. The order is total, so any
+// sort yields the same table.
+func CompareTriplets(a, b Triplet) int {
+	if c := cmp.Compare(b.Volume, a.Volume); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Pair, b.Pair)
 }
 
 // NormalizedVolume returns the triplet's volume divided by the table's
