@@ -46,9 +46,9 @@ type Window struct {
 // Options configure the fault model. The zero value disables it.
 type Options struct {
 	// Enabled turns fault injection on. With Enabled set and every
-	// other field zero the model is inert: the faulted serve path runs
-	// but injects nothing, producing outcomes identical to a disabled
-	// model (the fleet's zero-cost-when-off test relies on this).
+	// other field zero the model is inert: its injector plans every
+	// miss exactly as a nil injector does, so outcomes match a disabled
+	// model (the fleet's TestInertFaultsMatchDisabled relies on this).
 	Enabled bool
 	// Seed drives the loss and engine-error hashes. Independent of the
 	// workload seed so fault scenarios can vary against a fixed load.

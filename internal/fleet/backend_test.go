@@ -68,8 +68,8 @@ func TestBackendOffAndInfiniteRateByteIdentity(t *testing.T) {
 	}
 }
 
-// TestBackendRequiresFaults: the admission planner lives on the faulted
-// miss path, so enabling the backend without fault injection is a
+// TestBackendRequiresFaults: only an injector's retry ladder prices
+// admissions, so enabling the backend without fault injection is a
 // configuration error, not a silent no-op.
 func TestBackendRequiresFaults(t *testing.T) {
 	g := smallGen(t, 16)

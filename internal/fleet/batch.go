@@ -87,7 +87,7 @@ func (s BatchStats) MeanSize() float64 {
 type missTask struct {
 	t task
 	// mc is the miss's fault plan, computed at classification time
-	// under the shard lock (zero value when fault injection is off).
+	// under the shard lock.
 	mc missCtx
 	// done is closed once the miss has been applied and its response
 	// delivered; the owning worker waits on it before serving the same
@@ -289,46 +289,16 @@ func (d *dispatcher) run() {
 	}
 }
 
-// execute fires one batched session: a single engine visit resolves
-// every query, a single radio session (one wake-up, one handshake, one
-// tail) carries the exchanges, and the misses are applied to their
-// shards in submission order.
+// execute fires one batched session. Each member carries its own plan
+// (missCtx), computed at classification: only members whose plan
+// succeeded ride the shared radio session — a member the network
+// dropped never produced an exchange — and members with no survivors
+// open no session at all. A single engine visit resolves every query,
+// one radio session (one wake-up, one handshake, one tail) carries the
+// surviving exchanges, and the members are applied to their shards in
+// submission order; failed attempts are replayed on each member's own
+// device, so per-user outcomes stay independent of batch composition.
 func (d *dispatcher) execute(batch []*missTask) {
-	f := d.f
-	if f.faulted {
-		d.executeFaulted(batch)
-		return
-	}
-	queries := make([]string, len(batch))
-	for i, mt := range batch {
-		queries[i] = mt.t.req.Query
-	}
-	resps, found := f.cfg.Engine.SearchBatch(queries)
-	items := make([]radio.Exchange, len(batch))
-	for i := range batch {
-		items[i] = radio.Exchange{
-			ReqBytes:  pocketsearch.QueryRequestBytes,
-			RespBytes: pocketsearch.MissPageBytes(resps[i]),
-		}
-	}
-	bt := radio.BatchExchange(f.cfg.Radio, items)
-	f.recordBatch(bt)
-	shards := f.topo.Load().shards
-	for i, mt := range batch {
-		resp := shards[mt.t.shard].applyBatchedMiss(mt.t.req, resps[i], found[i], bt, i)
-		f.finish(resp, mt.t)
-		close(mt.done)
-	}
-}
-
-// executeFaulted fires one batched session under fault injection.
-// Each member carries its own precomputed fault plan (missCtx): only
-// members whose plan succeeded ride the shared radio session — a
-// member the network dropped never produced an exchange — and members
-// with no survivors open no session at all. Failed attempts are
-// replayed on each member's own device when the miss is applied, so
-// per-user outcomes stay independent of batch composition.
-func (d *dispatcher) executeFaulted(batch []*missTask) {
 	f := d.f
 	// Book the retry counters, drive each shard's breaker, and take one
 	// wall pause for the worst member's planned failure wait (members
@@ -376,8 +346,8 @@ func (d *dispatcher) executeFaulted(batch []*missTask) {
 		f.recordBatch(bt)
 	}
 	for i, mt := range batch {
-		resp := shards[mt.t.shard].applyFaultedBatched(mt.t.req, resps[i], found[i], bt, slot[i], mt.mc)
-		f.finish(resp, mt.t)
+		ex := missExchange{batch: &bt, slot: slot[i], eresp: resps[i], found: found[i]}
+		f.finish(shards[mt.t.shard].applyMiss(mt.t.req, mt.mc, ex), mt.t)
 		close(mt.done)
 	}
 }

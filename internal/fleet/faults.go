@@ -202,22 +202,23 @@ func hedgeWasteJ(p radio.Params, mc missCtx) float64 {
 	return p.ActiveEnergy(active)
 }
 
-// classifyFaulted routes one request on the fault-injected unbatched
-// path: local tiers are served inline (faults only touch the radio);
-// a cloud miss comes back as a plan for the caller to pace and then
-// complete. miss reports which return is meaningful.
-func (sh *shard) classifyFaulted(req Request) (resp Response, mc missCtx, miss bool) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+// classifyLocked routes one request the way the paper's two-component
+// cache does (Figure 6): the personal component first (the user's own
+// expansions and click scores), then the shared community replica —
+// both served inline, since faults only touch the radio. A miss in
+// both comes back as a plan for the caller to pace and then apply; the
+// apply step also expands the user's personal component, so the next
+// repeat hits locally. miss reports which return is meaningful. Caller
+// holds mu.
+func (sh *shard) classifyLocked(req Request) (resp Response, mc missCtx, miss bool) {
 	st, err := sh.user(req.User)
 	if err != nil {
 		return Response{Req: req, Err: err}, missCtx{}, false
 	}
 	qh := hash64.Sum(req.Query)
 	ch := hash64.Sum(req.Click)
-	tier := sh.tierOf(st, qh, ch)
-	if tier != SourceCloud {
-		return sh.serveLocked(st, req, qh, ch, tier), missCtx{}, false
+	if tier := sh.tierOf(st, qh, ch); tier != SourceCloud {
+		return sh.serveLocked(st, req, tier), missCtx{}, false
 	}
 	if err := sh.materialize(st); err != nil {
 		return Response{Req: req, Err: err}, missCtx{}, false
@@ -244,14 +245,44 @@ func replayFailedAttempts(dev *device.Device, pl faults.Plan) (cold int) {
 	return cold
 }
 
-// completeFaultedMiss executes a planned cloud miss on the unbatched
-// path: the failures are replayed on the user's device, then either
-// the final successful exchange runs (the ordinary miss path, with the
-// failure costs folded into the outcome) or the miss degrades down the
-// ladder.
-func (sh *shard) completeFaultedMiss(req Request, mc missCtx) Response {
+// missExchange is the successful radio exchange a planned miss ends in:
+// the user's own round trip on their link (batch nil), or member slot
+// of a batched session whose single engine visit already fetched eresp.
+type missExchange struct {
+	batch *radio.BatchTransfer
+	slot  int
+	eresp engine.SearchResponse
+	found bool
+}
+
+// radioJ prices a delivered miss's radio energy: the exchange's own
+// active time (a batch member's slice of the shared session, which
+// carries its share of the session tail), the plan's failed attempts,
+// the hedge's losing dispatches, and one tail per session the ladder
+// opened cold — the user's own exchange included when it woke the link.
+func (ex missExchange) radioJ(link radio.Params, tr radio.Transfer, mc missCtx, cold int) float64 {
+	if ex.batch != nil {
+		return ex.batch.ItemRadioEnergy(link, ex.slot) + link.ActiveEnergy(mc.plan.FailedActive) +
+			float64(cold)*link.TailEnergy() + hedgeWasteJ(link, mc)
+	}
+	j := link.ActiveEnergy(tr.RadioActive+mc.plan.FailedActive) + hedgeWasteJ(link, mc)
+	if !tr.WasWarm {
+		cold++
+	}
+	return j + float64(cold)*link.TailEnergy()
+}
+
+// applyMiss applies a planned cloud miss to its user — the one apply
+// step of the batched and unbatched paths alike. The plan's failures
+// are replayed on the user's device, then either the exchange runs
+// (with the failure, hedge and backend costs folded into the outcome)
+// or the miss degrades down the ladder. A user with no injector holds
+// a clean one-attempt plan, so this is the plain miss path. Clears the
+// user's pending-miss marker (only the batched path sets one).
+func (sh *shard) applyMiss(req Request, mc missCtx, ex missExchange) Response {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	delete(sh.pendingMiss, req.User)
 	st, err := sh.user(req.User)
 	if err == nil {
 		err = sh.materialize(st)
@@ -279,9 +310,15 @@ func (sh *shard) completeFaultedMiss(req Request, mc missCtx) Response {
 	if !mc.plan.Success {
 		return sh.degradeLocked(st, req, mc, cold)
 	}
-	resp := Response{Req: req, Source: SourceCloud, Attempts: mc.plan.Attempts}
+	resp := Response{Req: req, Source: SourceCloud, Attempts: st.rt.attempts(mc.plan)}
 	before := st.cache.DB().LogicalBytes()
-	resp.Outcome, resp.Err = st.cache.Query(req.Query, req.Click)
+	if ex.batch == nil {
+		resp.Outcome, resp.Err = st.cache.Query(req.Query, req.Click)
+	} else {
+		resp.BatchSize = ex.batch.Size()
+		resp.Outcome = st.cache.ApplyBatchedMiss(req.Query, req.Click, ex.eresp, ex.found,
+			ex.batch.ItemLatency(ex.slot), ex.batch.ItemShare(ex.slot))
+	}
 	resp.Outcome.Network += mc.plan.FailedWait + mc.hedgeWait() + mc.backendWait()
 	sh.recordExpansion(st, req.User, mc.qh, mc.ch, before)
 	st.served++
@@ -291,12 +328,7 @@ func (sh *shard) completeFaultedMiss(req Request, mc missCtx) Response {
 	st.clock.Observe()
 	resp.EnergyJ = sh.basePower * resp.Outcome.ResponseTime().Seconds()
 	if resp.Err == nil {
-		resp.RadioJ = st.rt.link.ActiveEnergy(resp.Outcome.Radio.RadioActive+mc.plan.FailedActive) +
-			hedgeWasteJ(st.rt.link, mc)
-		if !resp.Outcome.Radio.WasWarm {
-			cold++
-		}
-		resp.RadioJ += float64(cold) * st.rt.link.TailEnergy()
+		resp.RadioJ = ex.radioJ(st.rt.link, resp.Outcome.Radio, mc, cold)
 		resp.EnergyJ += resp.RadioJ
 	}
 	return resp
@@ -310,7 +342,7 @@ func (sh *shard) completeFaultedMiss(req Request, mc missCtx) Response {
 // is slow *and* costs energy before the fallback even starts. Caller
 // holds mu; cold is the count of cold sessions the replay opened.
 func (sh *shard) degradeLocked(st *userState, req Request, mc missCtx, cold int) Response {
-	resp := Response{Req: req, Attempts: mc.plan.Attempts}
+	resp := Response{Req: req, Attempts: st.rt.attempts(mc.plan)}
 	dev := st.cache.Device()
 	// A hedged miss degrades only once its last ladder has given up:
 	// the clones' extra exhaust time past the primary's ladder is
@@ -356,58 +388,15 @@ func (sh *shard) degradeLocked(st *userState, req Request, mc missCtx, cold int)
 	return resp
 }
 
-// applyFaultedBatched applies member slot of a batched session under
-// fault injection. A member whose plan failed never produced an
-// exchange — slot is -1, bt does not include it — and degrades after
-// its failures are replayed; a successful member takes its slice of
-// the shared session like any batched miss, plus its own failure
-// costs. Clears the user's pending-miss marker either way.
-func (sh *shard) applyFaultedBatched(req Request, eresp engine.SearchResponse, found bool, bt radio.BatchTransfer, slot int, mc missCtx) Response {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	delete(sh.pendingMiss, req.User)
-	st, err := sh.user(req.User)
-	if err == nil {
-		err = sh.materialize(st)
-	}
-	if err != nil {
-		return Response{Req: req, Err: err}
-	}
-	dev := st.cache.Device()
-	if mc.plan.Success {
-		if w := mc.hedgeWait(); w > 0 {
-			dev.Busy(w, "hedge")
-		}
-		if w := mc.backendWait(); w > 0 {
-			dev.Busy(w, "backend")
-		}
-	}
-	cold := replayFailedAttempts(dev, mc.plan)
-	if !mc.plan.Success {
-		return sh.degradeLocked(st, req, mc, cold)
-	}
-	resp := Response{Req: req, Source: SourceCloud, BatchSize: bt.Size(), Attempts: mc.plan.Attempts}
-	before := st.cache.DB().LogicalBytes()
-	resp.Outcome = st.cache.ApplyBatchedMiss(req.Query, req.Click, eresp, found, bt.ItemLatency(slot), bt.ItemShare(slot))
-	resp.Outcome.Network += mc.plan.FailedWait + mc.hedgeWait() + mc.backendWait()
-	sh.recordExpansion(st, req.User, mc.qh, mc.ch, before)
-	st.served++
-	st.clock.Observe()
-	resp.RadioJ = bt.ItemRadioEnergy(st.rt.link, slot) +
-		st.rt.link.ActiveEnergy(mc.plan.FailedActive) +
-		float64(cold)*st.rt.link.TailEnergy() +
-		hedgeWasteJ(st.rt.link, mc)
-	resp.EnergyJ = sh.basePower*resp.Outcome.ResponseTime().Seconds() + resp.RadioJ
-	return resp
-}
-
-// serveFaulted runs one task on the fault-injected unbatched path:
-// classify and plan under the shard lock, pace the wall clock for the
-// planned failures (unless the shard's breaker is open), then execute
-// the plan against the model.
-func (f *Fleet) serveFaulted(t task) {
+// serve runs one task on the unbatched path: classify and plan under
+// the shard lock, pace the wall clock for the planned failures (unless
+// the primary replica's breaker is open), then apply the plan with the
+// user's own radio round trip.
+func (f *Fleet) serve(t task) {
 	sh := f.topo.Load().shards[t.shard]
-	resp, mc, miss := sh.classifyFaulted(t.req)
+	sh.mu.Lock()
+	resp, mc, miss := sh.classifyLocked(t.req)
+	sh.mu.Unlock()
 	if !miss {
 		f.finish(resp, t)
 		return
@@ -419,7 +408,7 @@ func (f *Fleet) serveFaulted(t task) {
 		return
 	}
 	f.recordMissPlan(mc)
-	f.finish(sh.completeFaultedMiss(t.req, mc), t)
+	f.finish(sh.applyMiss(t.req, mc, missExchange{}), t)
 }
 
 // paceBreaker asks the primary replica's circuit breaker whether this

@@ -239,6 +239,93 @@ func TestInertFaultsMatchDisabled(t *testing.T) {
 	}
 }
 
+// TestFaultFreeCohortMatchesDisabled: in a fleet with faults on, a
+// cohort that switches injection off plans its misses with no injector
+// and so rides the same plan → pace → apply pipeline as everyone else.
+// Its users must get exactly the responses a fault-free fleet gives
+// them — Attempts included, which stays zero because their devices
+// have no injector — while the faulted users around them retry.
+func TestFaultFreeCohortMatchesDisabled(t *testing.T) {
+	g := smallGen(t, 16)
+	content := smallContent(t, g)
+	users := g.Users()[:12]
+	offCohort := func(uid searchlog.UserID) bool { return uid%2 == 0 }
+
+	run := func(faulted bool) (map[searchlog.UserID][]Response, Stats) {
+		f := newTestFleet(t, g, content, func(cfg *Config) {
+			cfg.QueueDepth = 4096
+			if !faulted {
+				return
+			}
+			cfg.Faults = faults.Options{
+				Enabled:       true,
+				Seed:          5,
+				LossProb:      0.3,
+				EngineErrProb: 0.1,
+				OutageEvery:   30 * time.Second,
+				OutageFor:     6 * time.Second,
+			}
+			cfg.Retry = faults.RetryPolicy{MaxAttempts: 3, WallPauseScale: -1}
+			cfg.Cohorts = []Cohort{{Name: "fault-free", Faults: &faults.Options{Enabled: false}}}
+			cfg.CohortOf = func(uid searchlog.UserID) int {
+				if offCohort(uid) {
+					return 0
+				}
+				return -1
+			}
+		})
+		resps := make(map[searchlog.UserID][]Response, len(users))
+		var mu sync.Mutex
+		var wg sync.WaitGroup
+		for _, up := range users {
+			wg.Add(1)
+			go func(up workload.UserProfile) {
+				defer wg.Done()
+				var rs []Response
+				for _, req := range requestsFor(g, up, 1) {
+					resp := f.Do(req)
+					if resp.Shed || resp.Err != nil {
+						t.Errorf("user %d request failed: %+v", up.ID, resp)
+						return
+					}
+					resp.Wall = 0 // real wall-clock latency, not modeled
+					rs = append(rs, resp)
+				}
+				mu.Lock()
+				resps[up.ID] = rs
+				mu.Unlock()
+			}(up)
+		}
+		wg.Wait()
+		return resps, f.Stats()
+	}
+
+	plain, _ := run(false)
+	mixed, mixedStats := run(true)
+	if mixedStats.Retries == 0 {
+		t.Fatalf("the faulted users never retried: %+v", mixedStats)
+	}
+	checked := 0
+	for _, up := range users {
+		if !offCohort(up.ID) {
+			continue
+		}
+		p, m := plain[up.ID], mixed[up.ID]
+		if len(p) != len(m) {
+			t.Fatalf("user %d served %d requests fault-free, %d in the faulted fleet", up.ID, len(p), len(m))
+		}
+		for i := range p {
+			if !reflect.DeepEqual(p[i], m[i]) {
+				t.Fatalf("user %d request %d diverges:\n  fault-free fleet: %+v\n  fault-free cohort: %+v", up.ID, i, p[i], m[i])
+			}
+		}
+		checked += len(p)
+	}
+	if checked == 0 {
+		t.Fatal("no fault-free cohort user served a request")
+	}
+}
+
 // TestDegradationLadder walks the three rungs end to end against a
 // crafted outage: a cloud miss that succeeds before the dead zone
 // seeds the personal cache, then every later miss degrades — stale

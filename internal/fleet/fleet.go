@@ -178,8 +178,8 @@ type Response struct {
 	Canceled bool
 	// Attempts is the number of modeled radio attempts a cloud-path
 	// request made under the fault model (1 means the first exchange
-	// got through). Zero for local serves and whenever fault injection
-	// is disabled — the fault layer must be invisible when off.
+	// got through). Zero for local serves and for users whose device
+	// has no injector — the fault layer must be invisible when off.
 	Attempts int
 }
 
@@ -259,20 +259,23 @@ type Config struct {
 	// Faults configures the deterministic connectivity-fault model
 	// (internal/faults): outage windows, per-attempt loss and transient
 	// engine errors on the cloud-miss path. The zero value disables
-	// fault injection entirely — the serve path is then byte-identical
-	// to a fleet built without the fault layer.
+	// fault injection for every user without a cohort override: their
+	// misses plan a clean one-attempt success.
 	Faults faults.Options
 	// Retry governs how a faulted cloud miss retries: capped
 	// exponential backoff in model time with a deadline, plus the
-	// wall-clock pacing that makes retries cost real serving time.
-	// Ignored unless Faults.Enabled; zero fields take the defaults.
+	// wall-clock pacing that makes retries cost real serving time. Its
+	// modeled ladder is the default for users whose injector it drives
+	// (cohorts may override it); its wall-clock pacing applies to every
+	// user's failures. Zero fields take the defaults.
 	Retry faults.RetryPolicy
 	// Breaker configures the per-shard circuit breaker that stops
 	// wall-clock retry pacing against a persistently dead link. It
-	// never alters modeled outcomes. Ignored unless fault injection is
-	// on for the fleet or any cohort. With Replicas > 1 each shard runs
-	// one breaker per replica, so a single dead backend cannot open the
-	// breaker for its healthy peers.
+	// never alters modeled outcomes, and only planned failures open it,
+	// so it stays closed unless fault injection is on for the fleet or
+	// a cohort. With Replicas > 1 each shard runs one breaker per
+	// replica, so a single dead backend cannot open the breaker for its
+	// healthy peers.
 	Breaker BreakerOptions
 	// Replicas is the number of modeled cloud engine replicas the miss
 	// path may dispatch to. Each replica beyond the first draws its
@@ -287,8 +290,8 @@ type Config struct {
 	// — and may be rejected by a bounded queue — instead of answering
 	// instantly. Replicas and CloneFactor are derived from the fleet's
 	// own Replicas and Hedge configuration; the remaining fields are the
-	// caller's. Requires fault injection (the admission planner lives on
-	// the faulted miss path). The zero value — or an infinite
+	// caller's. Requires fault injection (only an injector's retry
+	// ladder prices admissions). The zero value — or an infinite
 	// ServiceRate — keeps every outcome byte-identical to an unqueued
 	// fleet.
 	Backend backend.Options
@@ -366,6 +369,15 @@ func (rt *cohortRT) hedged() bool {
 	return rt.inj != nil && len(rt.injs) > 1 && rt.hedge.Active()
 }
 
+// attempts is the Response.Attempts a planned miss reports: the plan's
+// attempt count when the user's device has an injector, zero otherwise.
+func (rt *cohortRT) attempts(pl faults.Plan) int {
+	if rt.inj == nil {
+		return 0
+	}
+	return pl.Attempts
+}
+
 // cohortTable resolves users to their cohort runtime. Immutable after
 // New, so shards share it lock-free.
 type cohortTable struct {
@@ -373,8 +385,8 @@ type cohortTable struct {
 	cohorts []cohortRT
 	of      func(searchlog.UserID) int
 	// faulted reports whether any injector (fleet-wide or cohort) is
-	// live — the one flag every fault branch checks so the layer stays
-	// provably zero-cost when nothing injects.
+	// live. The backend model requires one: only an injector's ladder
+	// prices admissions.
 	faulted bool
 	// bk is the shared queued-backend model (nil when disabled); pricer
 	// is bk as a faults.Pricer, kept as a separate field so a disabled
@@ -533,15 +545,9 @@ type Fleet struct {
 	// makespan of everything served is one atomic read away.
 	tl *modeltime.Timeline
 
-	// inj is the fleet-wide connectivity-fault injector; nil when
-	// fault injection is disabled. cohorts resolves each user to the
-	// runtime (radio link, injector, retry policy) their device is
-	// built with; faulted caches whether any injector — fleet-wide or
-	// per-cohort — is live, which every fault branch checks first so
-	// the layer is provably zero-cost when nothing injects.
-	inj     *faults.Injector
+	// cohorts resolves each user to the runtime (radio link, fault
+	// injector, retry policy) their device is built with.
 	cohorts *cohortTable
-	faulted bool
 
 	// mu guards closed against concurrent Submit/Do/Close, and — held
 	// exclusively — fences route publications: enqueue computes a
@@ -624,16 +630,17 @@ func New(cfg Config) (*Fleet, error) {
 		queues: make([]chan task, cfg.Workers),
 		tl:     modeltime.NewTimeline(),
 	}
+	var inj *faults.Injector
 	if cfg.Faults.Enabled {
-		f.inj = faults.New(cfg.Faults)
+		inj = faults.New(cfg.Faults)
 	}
-	ct, err := buildCohortTable(cfg, f.inj)
+	ct, err := buildCohortTable(cfg, inj)
 	if err != nil {
 		return nil, err
 	}
 	if cfg.Backend.Active() {
 		if !ct.faulted {
-			return nil, fmt.Errorf("fleet: backend model requires fault injection (the admission planner runs on the faulted miss path)")
+			return nil, fmt.Errorf("fleet: backend model requires fault injection (only an injector's retry ladder prices admissions)")
 		}
 		ct.bk = backend.NewModel(cfg.Backend)
 		if ct.bk != nil {
@@ -641,7 +648,6 @@ func New(cfg Config) (*Fleet, error) {
 		}
 	}
 	f.cohorts = ct
-	f.faulted = ct.faulted
 
 	shards, err := buildShards(cfg, ct, f.tl, 0, cfg.Shards)
 	if err != nil {
@@ -756,13 +762,8 @@ func (f *Fleet) process(t task) {
 	if f.maybeHold(t) {
 		return
 	}
-	tp := f.topo.Load()
-	if len(tp.dispatchers) == 0 {
-		if f.faulted {
-			f.serveFaulted(t)
-			return
-		}
-		f.finish(tp.shards[t.shard].serve(t.req), t)
+	if len(f.topo.Load().dispatchers) == 0 {
+		f.serve(t)
 		return
 	}
 	f.serveBatched(t)

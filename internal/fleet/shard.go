@@ -12,10 +12,8 @@ import (
 	"pocketcloudlets/internal/energy"
 	"pocketcloudlets/internal/engine"
 	"pocketcloudlets/internal/flashsim"
-	"pocketcloudlets/internal/hash64"
 	"pocketcloudlets/internal/modeltime"
 	"pocketcloudlets/internal/pocketsearch"
-	"pocketcloudlets/internal/radio"
 	"pocketcloudlets/internal/searchlog"
 	"pocketcloudlets/internal/updater"
 )
@@ -212,14 +210,12 @@ type shard struct {
 	// lowest-utility records first.
 	perUserBytes int64
 	// cohorts resolves each resident user to their device runtime
-	// (radio link, fault injector, retry policy); faulted mirrors
-	// Fleet.faulted so the serve paths branch on one bool. brks holds
-	// one circuit breaker per cloud replica — index 0 is the legacy
-	// single-backend breaker — so a dead replica cannot open the
-	// breaker for its healthy peers (empty unless something injects and
-	// the breaker is enabled).
+	// (radio link, fault injector, retry policy). brks holds one circuit
+	// breaker per cloud replica — index 0 is the legacy single-backend
+	// breaker — so a dead replica cannot open the breaker for its
+	// healthy peers (empty when the breaker is disabled). A breaker only
+	// opens on planned failures, so without an injector it stays closed.
 	cohorts *cohortTable
-	faulted bool
 	brks    []*breaker
 	// tl is the fleet-wide model timeline every resident user's clock
 	// registers on; commClock is the community replica's own clock view
@@ -301,7 +297,6 @@ func newShard(id int, cfg Config, ct *cohortTable, tl *modeltime.Timeline) (*sha
 		opts:         cfg.Options,
 		perUserBytes: cfg.PerUserBytes,
 		cohorts:      ct,
-		faulted:      ct.faulted,
 		tl:           tl,
 		commClock:    tl.UserClock(dev),
 		basePower:    dev.Config().BasePower,
@@ -312,15 +307,9 @@ func newShard(id int, cfg Config, ct *cohortTable, tl *modeltime.Timeline) (*sha
 		pendingMiss:  make(map[searchlog.UserID]*missTask),
 		holds:        make(map[searchlog.UserID]*holdQueue),
 	}
-	if ct.faulted {
-		n := cfg.Replicas
-		if n < 1 {
-			n = 1
-		}
-		for r := 0; r < n; r++ {
-			if b := newBreaker(cfg.Breaker); b != nil {
-				sh.brks = append(sh.brks, b)
-			}
+	for r := 0; r < cfg.Replicas; r++ {
+		if b := newBreaker(cfg.Breaker); b != nil {
+			sh.brks = append(sh.brks, b)
 		}
 	}
 	return sh, nil
@@ -368,25 +357,6 @@ func (sh *shard) materialize(st *userState) error {
 	return nil
 }
 
-// serve executes one request under the shard lock. The routing mirrors
-// the paper's two-component cache (Figure 6) at fleet scale: the
-// personal component is consulted first (it carries the user's own
-// expansions and click scores), then the shared community replica, and
-// only a miss in both pays the radio round trip — which also expands
-// the user's personal component so the next repeat hits locally.
-func (sh *shard) serve(req Request) Response {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-
-	st, err := sh.user(req.User)
-	if err != nil {
-		return Response{Req: req, Err: err}
-	}
-	qh := hash64.Sum(req.Query)
-	ch := hash64.Sum(req.Click)
-	return sh.serveLocked(st, req, qh, ch, sh.tierOf(st, qh, ch))
-}
-
 // tierOf classifies which tier will serve the pair. A user whose
 // personal cache is not materialized cannot have a personal hit.
 // Caller holds mu.
@@ -401,25 +371,29 @@ func (sh *shard) tierOf(st *userState, qh, ch uint64) Source {
 	}
 }
 
-// serveLocked serves one request against its classified tier; the
-// cloud tier pays an unbatched radio round trip on the user's own
-// link. Caller holds mu.
-func (sh *shard) serveLocked(st *userState, req Request, qh, ch uint64, tier Source) Response {
+// serveLocked serves one request from a local tier — the user's
+// personal component or the shard's community replica — and books the
+// user's counters and the base-power energy of the response time.
+// Caller holds mu.
+func (sh *shard) serveLocked(st *userState, req Request, tier Source) Response {
 	resp := Response{Req: req, Source: tier}
-	switch tier {
-	case SourcePersonal:
+	if tier == SourcePersonal {
 		resp.Outcome, resp.Err = st.cache.Query(req.Query, req.Click)
-	case SourceCommunity:
+	} else {
 		resp.Outcome, resp.Err = sh.community.Query(req.Query, req.Click)
-	default:
-		if err := sh.materialize(st); err != nil {
-			return Response{Req: req, Err: err}
-		}
-		before := st.cache.DB().LogicalBytes()
-		resp.Outcome, resp.Err = st.cache.Query(req.Query, req.Click)
-		sh.recordExpansion(st, req.User, qh, ch, before)
 	}
-	sh.accountLocked(st, &resp)
+	st.served++
+	if resp.Outcome.Hit {
+		st.hits++
+	}
+	resp.EnergyJ = sh.basePower * resp.Outcome.ResponseTime().Seconds()
+	if st.cache != nil {
+		st.clock.Observe()
+	}
+	if tier == SourceCommunity {
+		// A community hit advanced the replica's device, not the user's.
+		sh.commClock.Observe()
+	}
 	return resp
 }
 
@@ -436,60 +410,18 @@ func (sh *shard) routeBatched(t task) (resp Response, miss, waitFor *missTask) {
 	if prev := sh.pendingMiss[t.req.User]; prev != nil {
 		return Response{}, nil, prev
 	}
-	st, err := sh.user(t.req.User)
-	if err != nil {
-		return Response{Req: t.req, Err: err}, nil, nil
+	// The miss's whole fault ladder is planned now, against the user's
+	// current model clock: the clock cannot move before the miss is
+	// applied (pendingMiss blocks the user's next request), so the plan
+	// — and with it every per-user outcome — is independent of how the
+	// dispatcher later composes batches.
+	resp, mc, isMiss := sh.classifyLocked(t.req)
+	if !isMiss {
+		return resp, nil, nil
 	}
-	qh := hash64.Sum(t.req.Query)
-	ch := hash64.Sum(t.req.Click)
-	tier := sh.tierOf(st, qh, ch)
-	if tier != SourceCloud {
-		return sh.serveLocked(st, t.req, qh, ch, tier), nil, nil
-	}
-	if err := sh.materialize(st); err != nil {
-		return Response{Req: t.req, Err: err}, nil, nil
-	}
-	mt := &missTask{t: t, done: make(chan struct{})}
-	if sh.faulted {
-		// Plan the miss's whole fault ladder now, against the user's
-		// current model clock: the clock cannot move before the miss is
-		// applied (pendingMiss blocks the user's next request), so the
-		// plan — and with it every per-user outcome — is independent of
-		// how the dispatcher later composes batches.
-		mt.mc = sh.planCtxLocked(st, t.req.User, qh, ch)
-	}
+	mt := &missTask{t: t, mc: mc, done: make(chan struct{})}
 	sh.pendingMiss[t.req.User] = mt
 	return Response{}, mt, nil
-}
-
-// applyBatchedMiss applies member i of a batched radio session to its
-// user: the engine response was fetched by the batch's single engine
-// visit, and the exchange costs are the member's slice of the shared
-// session. It clears the user's pending-miss marker.
-func (sh *shard) applyBatchedMiss(req Request, eresp engine.SearchResponse, found bool, bt radio.BatchTransfer, i int) Response {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-
-	resp := Response{Req: req, Source: SourceCloud, BatchSize: bt.Size()}
-	delete(sh.pendingMiss, req.User)
-	st, err := sh.user(req.User)
-	if err == nil {
-		err = sh.materialize(st)
-	}
-	if err != nil {
-		resp.Err = err
-		return resp
-	}
-	qh := hash64.Sum(req.Query)
-	ch := hash64.Sum(req.Click)
-	before := st.cache.DB().LogicalBytes()
-	resp.Outcome = st.cache.ApplyBatchedMiss(req.Query, req.Click, eresp, found, bt.ItemLatency(i), bt.ItemShare(i))
-	sh.recordExpansion(st, req.User, qh, ch, before)
-	st.served++
-	st.clock.Observe()
-	resp.RadioJ = bt.ItemRadioEnergy(st.rt.link, i)
-	resp.EnergyJ = sh.basePower*resp.Outcome.ResponseTime().Seconds() + resp.RadioJ
-	return resp
 }
 
 // recordExpansion books the personal-flash delta a served miss left
@@ -506,33 +438,6 @@ func (sh *shard) recordExpansion(st *userState, uid searchlog.UserID, qh, ch uin
 		st.bytes += delta
 		sh.personalBytes += delta
 		sh.enforceUserBudget(st)
-	}
-}
-
-// accountLocked applies the per-user serving counters and the modeled
-// energy attribution: base power over the response time, plus — for an
-// unbatched cloud miss — the radio-active energy of its exchange and,
-// when the exchange opened a session (paid the wake-up), the session's
-// eventual tail. Caller holds mu.
-func (sh *shard) accountLocked(st *userState, resp *Response) {
-	st.served++
-	if resp.Outcome.Hit {
-		st.hits++
-	}
-	resp.EnergyJ = sh.basePower * resp.Outcome.ResponseTime().Seconds()
-	if resp.Source == SourceCloud && resp.Err == nil {
-		resp.RadioJ = st.rt.link.ActiveEnergy(resp.Outcome.Radio.RadioActive)
-		if !resp.Outcome.Radio.WasWarm {
-			resp.RadioJ += st.rt.link.TailEnergy()
-		}
-		resp.EnergyJ += resp.RadioJ
-	}
-	if st.cache != nil {
-		st.clock.Observe()
-	}
-	if resp.Source == SourceCommunity {
-		// A community hit advanced the replica's device, not the user's.
-		sh.commClock.Observe()
 	}
 }
 

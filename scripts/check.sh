@@ -56,6 +56,27 @@ go run ./cmd/loadtest -mode closed -users 100 -duration 0 -seed 3 \
     -faults -loss 0.3 -outage 6s/30s -retries 3 \
     -batch -batchadaptive -check -json > "$smoke_out"
 
+echo "== fault determinism smoke: two identical unbatched fault runs =="
+# Every cloud miss, faults on or off, runs one plan → pace → apply
+# pipeline whose outcomes are pure functions of the seed, so two
+# identical unbatched runs of the fault smoke must agree byte-for-byte
+# on the normalized report, energy ledger included. The -batch variant
+# stays out: its wall-clock linger decides batch composition, which
+# legitimately shifts model clocks and so outage exposure.
+smoke_tmp=$(mktemp -d)
+trap 'rm -rf "$smoke_tmp"' EXIT
+fault_smoke() {
+    go run ./cmd/loadtest -mode closed -users 100 -duration 0 -seed 3 \
+        -faults -loss 0.3 -outage 6s/30s -retries 3 -json |
+        go run ./cmd/reportnorm -keep backend,energy
+}
+fault_smoke > "$smoke_tmp/faults1.json"
+fault_smoke > "$smoke_tmp/faults2.json"
+if ! diff -u "$smoke_tmp/faults1.json" "$smoke_tmp/faults2.json"; then
+    echo "fault determinism smoke: two identical runs diverged" >&2
+    exit 1
+fi
+
 echo "== hedged determinism smoke: clone factor 1 ≡ single backend =="
 # The replicated-backend acceptance guarantee (DESIGN.md, "Hedged
 # misses and replicas"): a fleet with -replicas 3 and hedging off
@@ -66,16 +87,14 @@ echo "== hedged determinism smoke: clone factor 1 ≡ single backend =="
 # telemetry cross-foot invariants (-check): primary wins + clone wins
 # partition the cloud serves, clone wins never exceed clones launched,
 # per-replica breaker opens sum to the fleet total.
-hedge_tmp=$(mktemp -d)
-trap 'rm -rf "$hedge_tmp"' EXIT
 hedge_smoke() {
     go run ./cmd/loadtest -mode closed -users 64 -duration 0 -seed 3 \
         -faults -loss 0.2 -outage 6s/30s -retries 3 "$@" -json |
         go run ./cmd/reportnorm
 }
-hedge_smoke > "$hedge_tmp/single.json"
-hedge_smoke -replicas 3 -hedge 1 > "$hedge_tmp/clone1.json"
-if ! diff -u "$hedge_tmp/single.json" "$hedge_tmp/clone1.json"; then
+hedge_smoke > "$smoke_tmp/single.json"
+hedge_smoke -replicas 3 -hedge 1 > "$smoke_tmp/clone1.json"
+if ! diff -u "$smoke_tmp/single.json" "$smoke_tmp/clone1.json"; then
     echo "hedged determinism smoke: clone factor 1 diverged from the single backend" >&2
     exit 1
 fi
@@ -94,9 +113,9 @@ echo "== backend byte-identity smoke: -backend-rate inf ≡ no backend =="
 # model-indistinguishable from the same run without the backend.
 # reportnorm strips the per-replica backend rows by default, which are
 # the only permitted report difference.
-hedge_smoke -replicas 3 -hedge 2 > "$hedge_tmp/nobackend.json"
-hedge_smoke -replicas 3 -hedge 2 -backend-rate inf > "$hedge_tmp/infrate.json"
-if ! diff -u "$hedge_tmp/nobackend.json" "$hedge_tmp/infrate.json"; then
+hedge_smoke -replicas 3 -hedge 2 > "$smoke_tmp/nobackend.json"
+hedge_smoke -replicas 3 -hedge 2 -backend-rate inf > "$smoke_tmp/infrate.json"
+if ! diff -u "$smoke_tmp/nobackend.json" "$smoke_tmp/infrate.json"; then
     echo "backend byte-identity smoke: -backend-rate inf diverged from the backend-free run" >&2
     exit 1
 fi
@@ -153,9 +172,9 @@ as_smoke() {
         -autoscale -autoscale-interval 250ms -autoscale-rate 120 -json |
         go run ./cmd/reportnorm -keep backend,energy,autoscale
 }
-as_smoke > "$hedge_tmp/autoscale1.json"
-as_smoke > "$hedge_tmp/autoscale2.json"
-if ! diff -u "$hedge_tmp/autoscale1.json" "$hedge_tmp/autoscale2.json"; then
+as_smoke > "$smoke_tmp/autoscale1.json"
+as_smoke > "$smoke_tmp/autoscale2.json"
+if ! diff -u "$smoke_tmp/autoscale1.json" "$smoke_tmp/autoscale2.json"; then
     echo "autoscale determinism smoke: two identical runs diverged" >&2
     exit 1
 fi
