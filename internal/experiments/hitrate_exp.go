@@ -199,30 +199,22 @@ type DailyUpdatesResult struct {
 func DailyUpdates(l *Lab) DailyUpdatesResult {
 	static := l.runReplay(replay.Full)
 
-	// Build per-day popular sets over month0 + month1[:day].
+	// Build per-day popular sets over month0 + month1[:day]. The month
+	// log is in time order already (Generator.MonthLog sorts it).
 	month1 := l.MonthLog(1).Entries
-	sort.Slice(month1, func(i, j int) bool { return month1[i].At < month1[j].At })
-	counts := make(map[searchlog.PairID]int64, 1<<20)
-	var totalVolume int64
-	for _, e := range l.MonthLog(0).Entries {
-		counts[e.Pair]++
-		totalVolume++
-	}
+	running := newDailyTable(l.Triplets(0))
 	deltas := make([]replay.Delta, 31)
 	prevSet := contentPairSet(l.Content(0, EvalShare))
 	idx := 0
 	totalChanged := 0
-	// Only the delta outlives a day: it copies the triplets it keeps.
-	var triplets []searchlog.Triplet
 	for day := 1; day <= 30; day++ {
 		cutoff := time.Duration(day) * 24 * time.Hour
 		for idx < len(month1) && month1[idx].At < cutoff {
-			counts[month1[idx].Pair]++
-			totalVolume++
+			running.add(month1[idx].Pair)
 			idx++
 		}
-		tbl := tableFromCounts(counts, totalVolume, triplets)
-		triplets = tbl.Triplets
+		// Only the delta outlives a day: it copies the triplets it keeps.
+		tbl := running.advance()
 		n, err := cachegen.SelectByShare(tbl, EvalShare)
 		if err != nil {
 			panic(err)
@@ -293,17 +285,84 @@ func diffContent(content cachegen.Content, prevSet, newSet map[searchlog.PairID]
 	return d
 }
 
-// tableFromCounts builds the sorted triplet table of a running count
-// map in buf's backing array, so a caller rebuilding the table every
-// day reuses one slice: the table, and content generated from it, are
-// valid until the next call with the same buf.
-func tableFromCounts(counts map[searchlog.PairID]int64, total int64, buf []searchlog.Triplet) searchlog.TripletTable {
-	buf = buf[:0]
-	for p, v := range counts {
-		buf = append(buf, searchlog.Triplet{Pair: p, Volume: v})
+// dailyTable is a triplet table kept sorted while its counts grow.
+// Each advance moves only the triplets whose counts changed since the
+// previous one: it finds each at its old key by binary search, drops
+// it, and merges the changed triplets back in at their new keys. Since
+// CompareTriplets is a total order, the result is the table a full
+// sort of every count would give.
+type dailyTable struct {
+	counts map[searchlog.PairID]int64
+	// pending maps each pair counted since the last advance to its
+	// count at that advance (zero for a pair first seen since then).
+	pending map[searchlog.PairID]int64
+	total   int64
+	// cur is the sorted table; spare is the buffer the next advance
+	// builds into, so two buffers serve every day.
+	cur, spare []searchlog.Triplet
+	// drop and moved are advance's scratch.
+	drop  []int
+	moved []searchlog.Triplet
+}
+
+// newDailyTable starts from a sorted table, which it does not modify.
+func newDailyTable(base searchlog.TripletTable) *dailyTable {
+	d := &dailyTable{
+		counts:  make(map[searchlog.PairID]int64, len(base.Triplets)),
+		pending: make(map[searchlog.PairID]int64),
+		total:   base.TotalVolume,
+		cur:     slices.Clone(base.Triplets),
 	}
-	slices.SortFunc(buf, searchlog.CompareTriplets)
-	return searchlog.TripletTable{Triplets: buf, TotalVolume: total}
+	for _, tr := range base.Triplets {
+		d.counts[tr.Pair] = tr.Volume
+	}
+	return d
+}
+
+// add counts one more occurrence of p.
+func (d *dailyTable) add(p searchlog.PairID) {
+	v := d.counts[p]
+	if _, ok := d.pending[p]; !ok {
+		d.pending[p] = v
+	}
+	d.counts[p] = v + 1
+	d.total++
+}
+
+// advance folds the counts added since the last call into the table
+// and returns it. The table, and content generated from it, are valid
+// until the next advance.
+func (d *dailyTable) advance() searchlog.TripletTable {
+	d.drop, d.moved = d.drop[:0], d.moved[:0]
+	for p, old := range d.pending {
+		if old > 0 {
+			i, ok := slices.BinarySearchFunc(d.cur, searchlog.Triplet{Pair: p, Volume: old}, searchlog.CompareTriplets)
+			if !ok {
+				panic(fmt.Sprintf("experiments: pair %d missing from the daily table at volume %d", p, old))
+			}
+			d.drop = append(d.drop, i)
+		}
+		d.moved = append(d.moved, searchlog.Triplet{Pair: p, Volume: d.counts[p]})
+	}
+	clear(d.pending)
+	slices.Sort(d.drop)
+	slices.SortFunc(d.moved, searchlog.CompareTriplets)
+
+	out, drop, moved := d.spare[:0], d.drop, d.moved
+	for i, tr := range d.cur {
+		if len(drop) > 0 && drop[0] == i {
+			drop = drop[1:]
+			continue
+		}
+		for len(moved) > 0 && searchlog.CompareTriplets(moved[0], tr) < 0 {
+			out = append(out, moved[0])
+			moved = moved[1:]
+		}
+		out = append(out, tr)
+	}
+	out = append(out, moved...)
+	d.cur, d.spare = out, d.cur
+	return searchlog.TripletTable{Triplets: d.cur, TotalVolume: d.total}
 }
 
 // Table renders the comparison.

@@ -277,16 +277,19 @@ func itemKey(uid searchlog.UserID, resultHash uint64) uint64 {
 }
 
 // newShard builds one shard: a community cache replica preloaded with
-// the shared content (provisioned overnight, so its model clock is
-// reset afterwards) and an empty user arena.
-func newShard(id int, cfg Config, ct *cohortTable, tl *modeltime.Timeline) (*shard, error) {
+// the shared content, prepared from cfg.Content (provisioned overnight,
+// so its model clock is reset afterwards), and an empty user arena.
+func newShard(id int, cfg Config, content *pocketsearch.Prepared, ct *cohortTable, tl *modeltime.Timeline) (*shard, error) {
 	commOpts := cfg.Options
 	// The community replica is shared by every user of the shard, so
 	// it must never absorb one user's personalization — and it runs on
 	// the fleet-wide radio tier regardless of cohorts.
 	commOpts.DisablePersonalization = true
 	dev := device.New(device.Config{}, cfg.Radio, flashsim.Params{})
-	community, err := pocketsearch.Build(dev, cfg.Engine, cfg.Content, commOpts)
+	community, err := pocketsearch.New(dev, cfg.Engine, commOpts)
+	if err == nil {
+		err = community.Install(content)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("fleet: shard %d community build: %w", id, err)
 	}

@@ -135,8 +135,12 @@ func (db *DB) Files() int { return db.cfg.Files }
 
 // FileOf returns the file index a result hash is assigned to: the
 // remainder of the hash divided by the file count (Section 5.2.2).
-func (db *DB) FileOf(resultHash uint64) int {
-	return int(resultHash % uint64(db.cfg.Files))
+func (db *DB) FileOf(resultHash uint64) int { return FileOf(resultHash, db.cfg.Files) }
+
+// FileOf is DB.FileOf for a database of the given file count, so
+// callers can lay records out by file before any database exists.
+func FileOf(resultHash uint64, files int) int {
+	return int(resultHash % uint64(files))
 }
 
 func (db *DB) fileName(i int) string { return db.names[i] }
@@ -412,9 +416,11 @@ func (db *DB) ReplaceFile(i int, records map[uint64][]byte) (time.Duration, erro
 // MergeFile rewrites file i as the union of its stored records and
 // recs, in ascending hash order, with a record in recs replacing a
 // stored one of the same hash — the bulk-load primitive of a cache
-// preload. recs is sorted in place. Every record must belong in file i
-// and appear once. It returns the modeled flash latency: one open plus
-// a rewrite of the whole file, as ReplaceFile charges.
+// preload. recs is sorted in place unless it is already in ascending
+// hash order, so sorted input is only read and may be shared by
+// concurrent calls on different databases. Every record must belong in
+// file i and appear once. It returns the modeled flash latency: one
+// open plus a rewrite of the whole file, as ReplaceFile charges.
 func (db *DB) MergeFile(i int, recs []Record) (time.Duration, error) {
 	if err := db.sortRecords(i, recs); err != nil {
 		return 0, err
@@ -430,13 +436,15 @@ func (db *DB) MergeFile(i int, recs []Record) (time.Duration, error) {
 	return db.rewrite(i, stored, body, recs)
 }
 
-// sortRecords sorts recs by hash and checks that they all belong in
-// file i, once each.
+// sortRecords sorts recs by hash, writing nothing when they are
+// already sorted, and checks that they all belong in file i, once each.
 func (db *DB) sortRecords(i int, recs []Record) error {
 	if i < 0 || i >= db.cfg.Files {
 		return fmt.Errorf("resultdb: file index %d out of range [0, %d)", i, db.cfg.Files)
 	}
-	slices.SortFunc(recs, func(a, b Record) int { return cmp.Compare(a.Hash, b.Hash) })
+	if !slices.IsSortedFunc(recs, compareRecords) {
+		slices.SortFunc(recs, compareRecords)
+	}
 	for k, r := range recs {
 		if db.FileOf(r.Hash) != i {
 			return fmt.Errorf("resultdb: record %x does not belong in file %d", r.Hash, i)
@@ -508,6 +516,8 @@ func mergeRecords(base []headerEntry, body []byte, recs []Record, fn func(hash u
 }
 
 func compareEntries(a, b headerEntry) int { return cmp.Compare(a.hash, b.hash) }
+
+func compareRecords(a, b Record) int { return cmp.Compare(a.Hash, b.Hash) }
 
 // Delete removes the record stored under resultHash, rewriting its
 // database file without it. It reports whether the record existed and
