@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -85,6 +86,15 @@ func requestsFor(g *workload.Generator, up workload.UserProfile, month int) []Re
 func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Error("missing engine should fail")
+	}
+	g := smallGen(t, 8)
+	cfg := Config{Engine: engine.New(g.Config().Universe), Content: smallContent(t, g), Shards: 2, Workers: 1}
+	cfg.Options.DatabaseFiles = -1
+	if f, err := New(cfg); err == nil {
+		f.Close()
+		t.Error("negative database file count should fail")
+	} else if !strings.Contains(err.Error(), "database file count") {
+		t.Errorf("negative database file count: %v", err)
 	}
 }
 
